@@ -83,47 +83,52 @@ def preprocess_database(
     )
 
 
-def split_database(
-    db: SequenceDatabase, device_fraction: float
-) -> tuple[SequenceDatabase, SequenceDatabase]:
-    """Static host/device split at ``device_fraction`` of the residues.
+def split_indices(
+    lengths: np.ndarray, device_fraction: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Static host/device split of entries at ``device_fraction`` of residues.
 
-    Returns ``(host_db, device_db)``.  The fraction is the share of
-    total residues assigned to the coprocessor — the x-axis of the
-    paper's Figure 8.  Entries are walked in descending length order and
-    each is assigned to whichever side is furthest below its target
-    share, so both sides end within one sequence length of their target.
+    Returns ``(host_indices, device_indices)``, each ascending.  The
+    fraction is the share of total residues assigned to the coprocessor
+    — the x-axis of the paper's Figure 8.  Entries are walked in
+    descending length order and each is assigned to whichever side is
+    furthest below its target share, so both sides end within one
+    sequence length of their target.
     """
     if not 0.0 <= device_fraction <= 1.0:
         raise DatabaseError(
             f"device fraction must be in [0, 1], got {device_fraction}"
         )
-    if device_fraction == 0.0:
-        return db, db.subset(np.array([], dtype=np.int64), name=f"{db.name}-mic")
-    if device_fraction == 1.0:
-        return db.subset(np.array([], dtype=np.int64), name=f"{db.name}-cpu"), db
+    lengths = np.asarray(lengths, dtype=np.int64)
+    to_dev = np.full(len(lengths), device_fraction == 1.0)
+    if 0.0 < device_fraction < 1.0:
+        total = int(lengths.sum())
+        target_dev = device_fraction * total
+        target_host = total - target_dev
+        dev_sum = host_sum = 0
+        for k in np.argsort(lengths, kind="stable")[::-1]:  # longest first
+            n = int(lengths[k])
+            # Assign to the side with the larger relative deficit.
+            dev_deficit = (target_dev - dev_sum) / target_dev
+            host_deficit = (target_host - host_sum) / target_host
+            if dev_deficit >= host_deficit:
+                to_dev[k] = True
+                dev_sum += n
+            else:
+                host_sum += n
+    return np.flatnonzero(~to_dev), np.flatnonzero(to_dev)
 
-    lengths = db.lengths
-    total = int(lengths.sum())
-    order = np.argsort(lengths, kind="stable")[::-1]  # longest first
-    target_dev = device_fraction * total
-    target_host = total - target_dev
-    dev_sum = host_sum = 0
-    dev_idx: list[int] = []
-    host_idx: list[int] = []
-    for k in order:
-        n = int(lengths[k])
-        # Assign to the side with the larger relative deficit.
-        dev_deficit = (target_dev - dev_sum) / target_dev
-        host_deficit = (target_host - host_sum) / target_host
-        if dev_deficit >= host_deficit:
-            dev_idx.append(int(k))
-            dev_sum += n
-        else:
-            host_idx.append(int(k))
-            host_sum += n
-    host = db.subset(np.asarray(sorted(host_idx), dtype=np.int64),
-                     name=f"{db.name}-cpu")
-    device = db.subset(np.asarray(sorted(dev_idx), dtype=np.int64),
-                       name=f"{db.name}-mic")
-    return host, device
+
+def split_database(
+    db: SequenceDatabase, device_fraction: float
+) -> tuple[SequenceDatabase, SequenceDatabase]:
+    """Static host/device split at ``device_fraction`` of the residues.
+
+    Returns ``(host_db, device_db)``, the two :func:`split_indices`
+    subsets in database order.
+    """
+    host, device = split_indices(db.lengths, device_fraction)
+    return (
+        db.subset(host, name=f"{db.name}-cpu"),
+        db.subset(device, name=f"{db.name}-mic"),
+    )

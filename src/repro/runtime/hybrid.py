@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..db.preprocess import split_indices
 from ..exceptions import OffloadError
 from ..perfmodel.model import DevicePerformanceModel, RunConfig, Workload
 from .offload import OffloadRegion
@@ -47,9 +48,8 @@ def split_lengths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition a length distribution at a residue fraction.
 
-    Same largest-remainder walk as
-    :func:`repro.db.preprocess.split_database`, but over bare lengths so
-    full-scale model experiments stay cheap.  Returns
+    The :func:`repro.db.preprocess.split_indices` walk over bare
+    lengths, so full-scale model experiments stay cheap.  Returns
     ``(host_lengths, device_lengths)``.
     """
     if not 0.0 <= device_fraction <= 1.0:
@@ -57,25 +57,10 @@ def split_lengths(
             f"device fraction must be within [0, 1], got {device_fraction}"
         )
     arr = np.asarray(lengths, dtype=np.int64)
-    if device_fraction == 0.0:
-        return arr, np.empty(0, dtype=np.int64)
-    if device_fraction == 1.0:
-        return np.empty(0, dtype=np.int64), arr
-    arr = require_work(arr, what="lengths")
-    order = np.argsort(arr, kind="stable")[::-1]
-    total = float(arr.sum())
-    target_dev = device_fraction * total
-    target_host = total - target_dev
-    dev_sum = host_sum = 0.0
-    to_dev = np.zeros(len(arr), dtype=bool)
-    for k in order:
-        n = float(arr[k])
-        if (target_dev - dev_sum) / target_dev >= (target_host - host_sum) / target_host:
-            to_dev[k] = True
-            dev_sum += n
-        else:
-            host_sum += n
-    return arr[~to_dev], arr[to_dev]
+    if 0.0 < device_fraction < 1.0:
+        require_work(arr, what="lengths")
+    host, device = split_indices(arr, device_fraction)
+    return arr[host], arr[device]
 
 
 @dataclass(frozen=True)

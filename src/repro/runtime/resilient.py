@@ -270,10 +270,11 @@ class ResilientHybridExecutor:
         """
         from ..alphabet import PROTEIN
         from ..core.engine import as_codes
-        from ..db.preprocess import split_database
+        from ..db.preprocess import split_indices
         from ..search.api import SearchOptions
         from ..search.pipeline import SearchPipeline
-        from ..search.result import Hit, SearchResult
+        from ..search.result import SearchResult
+        from ..search.topk import rank_hits
 
         if len(database) == 0:
             raise PipelineError("cannot search an empty database")
@@ -293,7 +294,11 @@ class ResilientHybridExecutor:
                     query_name=query_name, database=database.name,
                     device_fraction=device_fraction, chunks=self.chunks,
                 )
-            host_db, dev_db = split_database(database, device_fraction)
+            host_idx, dev_idx = split_indices(
+                database.lengths, device_fraction
+            )
+            host_db = database.subset(host_idx, name=f"{database.name}-cpu")
+            dev_db = database.subset(dev_idx, name=f"{database.name}-mic")
             baseline = self._inner.run(database.lengths, len(q),
                                        device_fraction, cfg)
 
@@ -311,7 +316,7 @@ class ResilientHybridExecutor:
                         sp.set_attributes(sequences=len(host_db))
                         sp.set_virtual(0.0, host_s)
                 wall += host_result.wall_seconds
-                parts.append((host_db, host_result.scores))
+                parts.append((host_idx, host_result.scores))
 
             # --- device share, chunked through faultable regions ------
             chunk_indices = (
@@ -338,7 +343,7 @@ class ResilientHybridExecutor:
             )
             for i, chunk_result in results.items():
                 wall += chunk_result.wall_seconds
-                parts.append((chunk_dbs[i], chunk_result.scores))
+                parts.append((dev_idx[chunk_indices[i]], chunk_result.scores))
 
             # --- host reclaim of abandoned chunks ---------------------
             reclaimed_l = (
@@ -361,29 +366,14 @@ class ResilientHybridExecutor:
                                                 query_name=query_name,
                                                 top_k=0)
                         wall += redo.wall_seconds
-                        parts.append((chunk_dbs[i], redo.scores))
+                        parts.append((dev_idx[chunk_indices[i]], redo.scores))
 
-            # --- merge (step 4), keyed by the unique headers ----------
+            # --- merge (step 4): scatter back by database index ------
             with tracer.span("resilient.merge"):
-                index_of = {h: i for i, h in enumerate(database.headers)}
-                if len(index_of) != len(database):
-                    raise PipelineError(
-                        "resilient merge requires unique database headers"
-                    )
                 scores = np.zeros(len(database), dtype=np.int64)
-                for part_db, part_scores in parts:
-                    for h, s in zip(part_db.headers, part_scores):
-                        scores[index_of[h]] = s
-                ranked = np.argsort(-scores, kind="stable")
-                hits = [
-                    Hit(
-                        index=int(i),
-                        header=database.headers[int(i)],
-                        length=len(database.sequences[int(i)]),
-                        score=int(scores[int(i)]),
-                    )
-                    for i in ranked[: max(top_k, 0)]
-                ]
+                for idx, part_scores in parts:
+                    scores[idx] = part_scores
+                hits = rank_hits(scores, database, top_k)
             total = max(host_s, device_end) + reclaim_s
             self._record_fault_metrics(faults, len(reclaimed))
             result = SearchResult(

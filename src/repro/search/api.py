@@ -32,6 +32,7 @@ from ..faults.injection import FaultInjector
 from ..faults.policy import Deadline
 from ..scoring.gaps import GapModel, paper_gap_model
 from ..scoring.matrices import SubstitutionMatrix
+from .topk import check_top_k
 
 __all__ = [
     "UNSET",
@@ -131,10 +132,7 @@ class SearchOptions:
             raise PipelineError(f"lanes must be positive, got {self.lanes}")
         if self.threads < 1:
             raise PipelineError(f"threads must be positive, got {self.threads}")
-        if self.top_k < 0:
-            raise PipelineError(
-                f"top_k must be non-negative, got {self.top_k}"
-            )
+        check_top_k(self.top_k)
         if self.chunk_size < 1:
             raise PipelineError(
                 f"chunk size must be positive, got {self.chunk_size}"
@@ -216,8 +214,8 @@ class SearchRequest:
     deadline: Deadline | None = None
 
     def __post_init__(self) -> None:
-        if self.top_k is not None and self.top_k < 0:
-            raise PipelineError(f"top_k must be non-negative, got {self.top_k}")
+        if self.top_k is not None:
+            check_top_k(self.top_k)
 
 
 @runtime_checkable

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.engine import as_codes
 from ..db.database import SequenceDatabase
-from ..db.preprocess import split_database
+from ..db.preprocess import split_indices
 from ..exceptions import PipelineError
 from ..metrics.counters import MetricsRegistry
 from ..obs.tracer import get_tracer
@@ -29,6 +29,7 @@ from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from .api import SearchOptions, unify_options
 from .pipeline import SearchPipeline
 from .result import Hit, SearchResult
+from .topk import rank_hits
 
 __all__ = ["HybridSearchResult", "HybridSearchPipeline"]
 
@@ -157,7 +158,11 @@ class HybridSearchPipeline:
                     query_name=query_name, database=database.name,
                     scheduler="static", device_fraction=device_fraction,
                 )
-            host_db, dev_db = split_database(database, device_fraction)
+            host_idx, dev_idx = split_indices(
+                database.lengths, device_fraction
+            )
+            host_db = database.subset(host_idx, name=f"{database.name}-cpu")
+            dev_db = database.subset(dev_idx, name=f"{database.name}-mic")
 
             # --- device side: async offload region with a real kernel -
             dev_seconds = 0.0
@@ -214,8 +219,8 @@ class HybridSearchPipeline:
             # --- merge (step 4) ---------------------------------------
             with tracer.span("hybrid.merge"):
                 merged = self._merge(
-                    query_name, q, database, host_db, dev_db,
-                    host_result, dev_result, top_k,
+                    query_name, q, database,
+                    ((host_idx, host_result), (dev_idx, dev_result)), top_k,
                 )
             if root:
                 merged.trace = {"span_id": root.span_id, "span": root.name}
@@ -250,42 +255,22 @@ class HybridSearchPipeline:
 
     # ------------------------------------------------------------------
     def _merge(
-        self, query_name, q, database, host_db, dev_db,
-        host_result, dev_result, top_k,
+        self, query_name, q, database, parts, top_k,
     ) -> SearchResult:
+        """Scatter each side's scores back by database index and rank."""
         scores = np.zeros(len(database), dtype=np.int64)
-        # Scores come back in each part's order; map through headers,
-        # which are unique per entry in all the library's databases.
-        index_of = {h: i for i, h in enumerate(database.headers)}
-        if len(index_of) != len(database):
-            raise PipelineError(
-                "hybrid merge requires unique database headers"
-            )
         wall = 0.0
-        for part_db, part_result in (
-            (host_db, host_result), (dev_db, dev_result),
-        ):
+        for idx, part_result in parts:
             if part_result is None:
                 continue
             wall += part_result.wall_seconds
-            for h, s in zip(part_db.headers, part_result.scores):
-                scores[index_of[h]] = s
-        ranked = np.argsort(-scores, kind="stable")
-        hits = [
-            Hit(
-                index=int(i),
-                header=database.headers[int(i)],
-                length=len(database.sequences[int(i)]),
-                score=int(scores[int(i)]),
-            )
-            for i in ranked[: max(top_k, 0)]
-        ]
+            scores[idx] = part_result.scores
         return SearchResult(
             query_name=query_name,
             query_length=len(q),
             database_name=database.name,
             scores=scores,
-            hits=hits,
+            hits=rank_hits(scores, database, top_k),
             cells=len(q) * database.total_residues,
             wall_seconds=wall,
         )

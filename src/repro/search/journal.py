@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import PipelineError
-from .result import Hit
+from .topk import TopK
 
 __all__ = ["ScanJournal", "ScanState", "chain_record_digest"]
 
@@ -87,42 +87,14 @@ class ScanState:
     #: Chained :func:`chain_record_digest` over the merged prefix —
     #: lets ``resume`` verify it was handed the *same* stream.
     prefix_digest: str = ""
-    #: Serialized top-k heap entries ``(score, -index, hit)`` in heap
-    #: order — a list that *is* a valid heap can be reloaded verbatim.
+    #: The top-k heap in :meth:`repro.search.topk.TopK.pack` layout:
+    #: ``[score, -index, hit-dict]`` entries in heap order.
     heap: list = field(default_factory=list)
 
     def heap_entries(self) -> list:
         """The heap as live ``(score, -index, Hit)`` tuples."""
-        return [
-            (
-                int(score),
-                int(neg_idx),
-                Hit(
-                    index=int(h["index"]),
-                    header=h["header"],
-                    length=int(h["length"]),
-                    score=int(h["score"]),
-                ),
-            )
-            for score, neg_idx, h in self.heap
-        ]
-
-    @staticmethod
-    def pack_heap(heap) -> list:
-        """Serialize live heap entries (JSON-safe, order-preserving)."""
-        return [
-            [
-                int(score),
-                int(neg_idx),
-                {
-                    "index": int(hit.index),
-                    "header": hit.header,
-                    "length": int(hit.length),
-                    "score": int(hit.score),
-                },
-            ]
-            for score, neg_idx, hit in heap
-        ]
+        top = TopK.load(len(self.heap), self.heap)
+        return [(hit.score, -hit.index, hit) for hit in top.hits]
 
 
 class ScanJournal:

@@ -10,6 +10,7 @@ and the paper's GCUPS accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,8 @@ from ..obs.tracer import get_tracer
 from ..perfmodel.model import DevicePerformanceModel, RunConfig, Workload
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
-from .result import Hit, SearchResult
+from .result import SearchResult
+from .topk import rank_hits
 
 __all__ = ["SearchPipeline"]
 
@@ -423,34 +425,20 @@ class SearchPipeline:
 
                 with tracer.span("pipeline.rank"):
                     # Scatter back to the caller's original database order.
-                    order = database.length_order()
                     scores = np.zeros(len(database), dtype=np.int64)
-                    scores[order] = sorted_scores
-                    # Step 4: rank descending (stable -> ties by database
-                    # order).
-                    ranked = np.argsort(-scores, kind="stable")
+                    scores[database.length_order()] = sorted_scores
+                    # Step 4: rank descending.
+                    hits = rank_hits(scores, database, top_k)
 
             cells = len(q) * database.total_residues
-            hits: list[Hit] = []
-            for idx in ranked[: max(top_k, 0)]:
-                idx = int(idx)
-                alignment = (
-                    align_pair(
-                        q, database.sequences[idx], self.matrix, self.gaps,
-                        alphabet=self.alphabet,
-                    )
-                    if traceback
-                    else None
-                )
-                hits.append(
-                    Hit(
-                        index=idx,
-                        header=database.headers[idx],
-                        length=len(database.sequences[idx]),
-                        score=int(scores[idx]),
-                        alignment=alignment,
-                    )
-                )
+            if traceback:
+                hits = [
+                    replace(hit, alignment=align_pair(
+                        q, database.sequences[hit.index], self.matrix,
+                        self.gaps, alphabet=self.alphabet,
+                    ))
+                    for hit in hits
+                ]
 
             modeled = None
             if self.device_model is not None:

@@ -7,7 +7,7 @@ fully-resident databases only) — but not both at once.  This driver
 composes them, SWAPHI-style: the record stream is split into
 bounded-memory *shards* (:mod:`repro.db.shards`), every shard's chunks
 are scored on the persistent worker pool, and a single bounded top-k
-heap merges the results.
+merger ranks the results.
 
 Determinism and fault guarantees match the serial scan exactly:
 
@@ -15,14 +15,13 @@ Determinism and fault guarantees match the serial scan exactly:
   streaming ``chunk_size``, so every pool task is one *serial* chunk
   and its fault-injection unit is the global chunk index.  Corruption
   decisions (and therefore ``corrupted_redone``) replay bit for bit.
-* **Order-free merge** — heap entries are totally ordered by
-  ``(score, -global index)``; the k largest under a total order do not
-  depend on insertion order, so ties still resolve toward the earlier
-  database record and the ranked hits are bit-identical to the serial
-  scan whatever the worker count or completion order.
+* **In-order merge** — results are collected in submission order and
+  folded in stream order into the :class:`~repro.search.topk.TopK`
+  merger, so the ranked hits are bit-identical to the serial scan
+  whatever the worker count or completion order.
 * **Double buffering** — shard *k* executes on the pool while the
   driver reads and encodes shard *k + 1*; at most two shards (plus the
-  heap) are ever resident in the driver, which is what bounds peak
+  retained top-k) are ever resident in the driver, which is what bounds peak
   memory by shard size rather than database size.
 
 Resilience (this is the layer long scans ride on):
@@ -44,7 +43,6 @@ Resilience (this is the layer long scans ride on):
 
 from __future__ import annotations
 
-import heapq
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -57,8 +55,8 @@ from ..obs.tracer import get_tracer
 from .api import SearchOptions
 from .gcups import Stopwatch
 from .journal import ScanJournal, ScanState, chain_record_digest
-from .result import Hit
-from .streaming import PartialResult, StreamingResult
+from .streaming import StreamingResult, finish_stream
+from .topk import TopK
 
 __all__ = ["DEFAULT_SHARD_RESIDUES", "ShardedStreamingSearch"]
 
@@ -247,9 +245,9 @@ class ShardedStreamingSearch:
         return backend.submit_tasks_async(tasks), len(tasks)
 
     def _merge(
-        self, backend, shard: Shard, futures, heap, tracer, deadline
+        self, backend, shard: Shard, futures, top: TopK, tracer, deadline
     ) -> tuple:
-        """Harvest ``shard``'s results and fold them into the heap."""
+        """Harvest ``shard``'s results and fold them into ``top``."""
         watch = Stopwatch()
         with tracer.span("shard.score") as sp, watch:
             results = backend.collect(futures, deadline=deadline)
@@ -268,21 +266,11 @@ class ShardedStreamingSearch:
             for res in results:
                 cells += res.cells
                 redone += res.redone
-                for pos, score in zip(res.positions, res.scores):
-                    idx = int(pos)
-                    scanned += 1
-                    local = idx - shard.base_index
-                    hit = Hit(
-                        index=idx,
-                        header=shard.headers[local],
-                        length=len(shard.sequences[local]),
-                        score=int(score),
-                    )
-                    entry = (int(score), -idx, hit)
-                    if len(heap) < self.top_k:
-                        heapq.heappush(heap, entry)
-                    elif heap and entry > heap[0]:
-                        heapq.heapreplace(heap, entry)
+                scanned += len(res.positions)
+                top.push(
+                    res.positions, res.scores, shard.headers,
+                    shard.sequences, base=shard.base_index,
+                )
         self.metrics.observe(
             "streaming.shard.merge.seconds", merge_watch.seconds
         )
@@ -367,7 +355,7 @@ class ShardedStreamingSearch:
         state = self._load_state(fingerprint)
         resume_records = state.records_done
         resume_shards = state.shards_merged
-        heap: list[tuple[int, int, Hit]] = state.heap_entries()
+        top = TopK.load(top_k, state.heap)
         records = iter(records)
         if resume_records:
             # Skip the journalled prefix, re-hashing it on the way: the
@@ -396,117 +384,86 @@ class ShardedStreamingSearch:
         tracer = get_tracer()
         expired = False
 
-        # Temporarily pin the heap bound for _merge (kept on self to
-        # avoid threading it through every helper).
-        saved_top_k, self.top_k = self.top_k, top_k
-        try:
-            with tracer.span("streaming.search") as root:
-                if root:
-                    root.set_attributes(
-                        query_name=query_name, query_length=len(q),
-                        database=database_name, chunk_size=self.chunk_size,
-                        top_k=top_k, executor="sharded",
-                        workers=self.workers,
-                        shard_residues=self.spec.max_residues,
-                        shard_records=self.spec.max_records,
-                        resumed_records=resume_records,
-                    )
+        with tracer.span("streaming.search") as root:
+            if root:
+                root.set_attributes(
+                    query_name=query_name, query_length=len(q),
+                    database=database_name, chunk_size=self.chunk_size,
+                    top_k=top_k, executor="sharded",
+                    workers=self.workers,
+                    shard_residues=self.spec.max_residues,
+                    shard_records=self.spec.max_records,
+                    resumed_records=resume_records,
+                )
 
-                def fold(done_shard, futures, n_tasks):
-                    s, c, r = self._merge(
-                        backend, done_shard, futures, heap, tracer, deadline
-                    )
-                    state.scanned += s
-                    state.cells += c
-                    state.corrupted_redone += r
-                    state.chunks += n_tasks
-                    state.records_done += done_shard.n_records
-                    state.shards_merged += 1
-                    if self.journal is not None:
-                        digest = state.prefix_digest
-                        for header, codes in zip(
-                            done_shard.headers, done_shard.sequences
-                        ):
-                            digest = chain_record_digest(
-                                digest, header, codes
-                            )
-                        state.prefix_digest = digest
-                        state.heap = ScanState.pack_heap(heap)
-                        self.journal.save(fingerprint, state)
-                        self.metrics.increment("resume.saved")
+            def fold(done_shard, futures, n_tasks):
+                s, c, r = self._merge(
+                    backend, done_shard, futures, top, tracer, deadline
+                )
+                state.scanned += s
+                state.cells += c
+                state.corrupted_redone += r
+                state.chunks += n_tasks
+                state.records_done += done_shard.n_records
+                state.shards_merged += 1
+                if self.journal is not None:
+                    digest = state.prefix_digest
+                    for header, codes in zip(
+                        done_shard.headers, done_shard.sequences
+                    ):
+                        digest = chain_record_digest(digest, header, codes)
+                    state.prefix_digest = digest
+                    state.heap = top.pack()
+                    self.journal.save(fingerprint, state)
+                    self.metrics.increment("resume.saved")
 
-                with watch:
-                    pending: tuple | None = None
-                    try:
-                        # Double buffer: while shard k executes on the
-                        # pool, the loop header reads/encodes shard k+1.
-                        for shard in self._read_shards(records, tracer):
-                            # Rebase a resumed stream to global
-                            # coordinates: record indices, shard ids and
-                            # fault units must match the uninterrupted
-                            # scan exactly.
-                            shard.shard_id += resume_shards
-                            shard.base_index += resume_records
-                            if pending is not None:
-                                fold(*pending)
-                            if deadline is not None:
-                                deadline.check("shard submission")
-                            futures, n_tasks = self._submit(
-                                backend, q, shard, deadline
-                            )
-                            pending = (shard, futures, n_tasks)
+            with watch:
+                pending: tuple | None = None
+                try:
+                    # Double buffer: while shard k executes on the
+                    # pool, the loop header reads/encodes shard k+1.
+                    for shard in self._read_shards(records, tracer):
+                        # Rebase a resumed stream to global
+                        # coordinates: record indices, shard ids and
+                        # fault units must match the uninterrupted
+                        # scan exactly.
+                        shard.shard_id += resume_shards
+                        shard.base_index += resume_records
                         if pending is not None:
                             fold(*pending)
-                    except DeadlineExceeded:
-                        expired = True
-                        if pending is not None:
-                            backend.cancel(pending[1])
+                        if deadline is not None:
+                            deadline.check("shard submission")
+                        futures, n_tasks = self._submit(
+                            backend, q, shard, deadline
+                        )
+                        pending = (shard, futures, n_tasks)
+                    if pending is not None:
+                        fold(*pending)
+                except DeadlineExceeded:
+                    expired = True
+                    if pending is not None:
+                        backend.cancel(pending[1])
 
-                if state.scanned == 0 and not expired:
-                    raise PipelineError("the record stream was empty")
-                if root:
-                    root.set_attributes(
-                        chunks=state.chunks, sequences=state.scanned,
-                        shards=state.shards_merged, partial=expired,
-                    )
-                self.metrics.increment("streaming.searches")
-                self.metrics.increment("streaming.chunks", state.chunks)
-                self.metrics.observe(
-                    "streaming.search.seconds", watch.seconds
-                )
-                ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-                common = dict(
-                    query_name=query_name,
-                    query_length=len(q),
-                    hits=[h for _, _, h in ranked],
-                    sequences_scanned=state.scanned,
-                    cells=state.cells,
-                    chunks=state.chunks,
-                    wall_seconds=watch.seconds,
-                    corrupted_redone=state.corrupted_redone,
-                    database_name=database_name,
-                )
-                if expired:
-                    self.metrics.increment("deadline.partial")
-                    tracer.event(
-                        "deadline.expired", where="streaming.sharded",
-                        scanned=state.scanned,
-                        shards_merged=state.shards_merged,
-                    )
-                    return PartialResult(
-                        **common,
-                        total_records=total_records,
-                        shards_merged=state.shards_merged,
-                        journal_path=(
-                            str(self.journal.path)
-                            if self.journal is not None else None
-                        ),
-                    )
-                if self.journal is not None:
-                    self.journal.clear()
-                return StreamingResult(**common)
-        finally:
-            self.top_k = saved_top_k
+            if root:
+                root.set_attributes(shards=state.shards_merged)
+            result = finish_stream(
+                top, where="streaming.sharded", expired=expired,
+                metrics=self.metrics, root=root,
+                total_records=total_records,
+                shards_merged=state.shards_merged,
+                journal_path=(
+                    str(self.journal.path)
+                    if self.journal is not None else None
+                ),
+                query_name=query_name, query_length=len(q),
+                database_name=database_name,
+                sequences_scanned=state.scanned, cells=state.cells,
+                chunks=state.chunks, wall_seconds=watch.seconds,
+                corrupted_redone=state.corrupted_redone,
+            )
+            if self.journal is not None and not expired:
+                self.journal.clear()
+            return result
 
     def resume(
         self,

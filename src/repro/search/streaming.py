@@ -4,12 +4,11 @@ The paper's future-work databases (TrEMBL, tens of gigabases) do not fit
 comfortably in memory.  Real tools stream: read a chunk of FASTA
 records, align, keep the running top-k, discard the chunk.  This module
 is that driver over the library's engines — only the current chunk and
-the hit heap are ever resident.
+the retained top-k are ever resident.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -23,6 +22,7 @@ from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch, gcups
 from .result import Hit
+from .topk import TopK
 
 __all__ = ["StreamingResult", "PartialResult", "StreamingSearch"]
 
@@ -309,9 +309,7 @@ class StreamingSearch:
                 )
         deadline = self.options.deadline
         q = as_codes(query, self.alphabet)
-        # Min-heap of (score, -index, hit): smallest retained hit on top;
-        # on score ties the later record loses.
-        heap: list[tuple[int, int, Hit]] = []
+        top = TopK(top_k)
         scanned = 0
         cells = 0
         chunks = 0
@@ -367,48 +365,21 @@ class StreamingSearch:
                             )
                             corrupted_redone += redos
                         cells += batch.cells
-                        for header, seq, score in zip(headers, seqs, scores):
-                            idx = scanned
-                            scanned += 1
-                            hit = Hit(
-                                index=idx, header=header,
-                                length=len(seq), score=int(score),
-                            )
-                            entry = (int(score), -idx, hit)
-                            if len(heap) < top_k:
-                                heapq.heappush(heap, entry)
-                            elif heap and entry > heap[0]:
-                                heapq.heapreplace(heap, entry)
+                        top.push(
+                            range(scanned, scanned + len(seqs)), scores,
+                            headers, seqs, base=scanned,
+                        )
+                        scanned += len(seqs)
 
-            if scanned == 0 and not expired:
-                raise PipelineError("the record stream was empty")
-            if root:
-                root.set_attributes(
-                    chunks=chunks, sequences=scanned, partial=expired
-                )
-            self.metrics.increment("streaming.searches")
-            self.metrics.increment("streaming.chunks", chunks)
-            self.metrics.observe("streaming.search.seconds", watch.seconds)
-            ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-            common = dict(
-                query_name=query_name,
-                query_length=len(q),
-                hits=[h for _, _, h in ranked],
-                sequences_scanned=scanned,
-                cells=cells,
-                chunks=chunks,
+            return finish_stream(
+                top, where="streaming.serial", expired=expired,
+                metrics=self.metrics, root=root,
+                total_records=total_records, query_name=query_name,
+                query_length=len(q), database_name=database_name,
+                sequences_scanned=scanned, cells=cells, chunks=chunks,
                 wall_seconds=watch.seconds,
                 corrupted_redone=corrupted_redone,
-                database_name=database_name,
             )
-            if expired:
-                self.metrics.increment("deadline.partial")
-                tracer.event(
-                    "deadline.expired", where="streaming.serial",
-                    scanned=scanned,
-                )
-                return PartialResult(**common, total_records=total_records)
-            return StreamingResult(**common)
 
     def search_fasta(
         self, query, path, *, query_name: str = "query",
@@ -441,6 +412,40 @@ class StreamingSearch:
             top_k=top_k,
             total_records=len(database),
         )
+
+
+def finish_stream(
+    top: TopK, *, where: str, expired: bool, metrics: MetricsRegistry,
+    root, total_records: int | None = None, shards_merged: int = 0,
+    journal_path: str | None = None, **fields,
+) -> StreamingResult:
+    """Close out a streamed scan: accounting plus the typed result.
+
+    Shared by the serial, sharded and tiered stream drivers; ``fields``
+    are the :class:`StreamingResult` fields other than ``hits``.  An
+    empty stream is an error.  A deadline-truncated scan (``expired``)
+    yields a :class:`PartialResult` over the merged prefix and a
+    ``deadline.expired`` event naming the driver (``where``).
+    """
+    scanned, chunks = fields["sequences_scanned"], fields["chunks"]
+    if scanned == 0 and not expired:
+        raise PipelineError("the record stream was empty")
+    if root:
+        root.set_attributes(chunks=chunks, sequences=scanned, partial=expired)
+    metrics.increment("streaming.searches")
+    metrics.increment("streaming.chunks", chunks)
+    metrics.observe("streaming.search.seconds", fields["wall_seconds"])
+    if not expired:
+        return StreamingResult(hits=top.ranked(), **fields)
+    metrics.increment("deadline.partial")
+    get_tracer().event(
+        "deadline.expired", where=where, scanned=scanned,
+        shards_merged=shards_merged,
+    )
+    return PartialResult(
+        hits=top.ranked(), **fields, total_records=total_records,
+        shards_merged=shards_merged, journal_path=journal_path,
+    )
 
 
 def _chunked(

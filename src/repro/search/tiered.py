@@ -34,8 +34,7 @@ with GCUPS-equivalent throughput.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -52,8 +51,9 @@ from ..metrics.counters import METRICS, MetricsRegistry
 from ..obs.tracer import get_tracer
 from .api import SearchOptions, unify_options
 from .gcups import Stopwatch
-from .result import Hit, SearchResult
-from .streaming import PartialResult, StreamingResult, _chunked
+from .result import SearchResult
+from .streaming import StreamingResult, _chunked, finish_stream
+from .topk import TopK, rank_hits
 
 __all__ = [
     "TIER_PRESETS",
@@ -355,12 +355,10 @@ class TieredSearch:
     ) -> TieredSearchResult:
         """Tiered scan of a resident database.
 
-        Ranking uses the same stable descending argsort as the
-        exhaustive pipeline, so two sequences that both survive to
-        rescoring order exactly as they would in the exhaustive
-        ranking (score ties break toward the earlier database record).
-        ``hits`` contains only rescored survivors — never a fabricated
-        score for a pruned sequence.
+        Ranking follows the :mod:`~repro.search.topk` contract over the
+        rescored survivors only, so two survivors order exactly as they
+        would in the exhaustive ranking and no pruned sequence is ever
+        reported with a fabricated score.
         """
         if len(database) == 0:
             raise PipelineError("cannot search an empty database")
@@ -437,35 +435,16 @@ class TieredSearch:
                             cells=stats.rescore_cells,
                         )
 
-                # Rank exactly like the exhaustive pipeline (stable ->
-                # ties toward the earlier record), but only rescored
-                # sequences may appear as hits.
-                ranked = np.argsort(-scores, kind="stable")
-                final_set = set(finalists)
-                hits: list[Hit] = []
-                for idx in ranked:
-                    if len(hits) >= max(top_k, 0):
-                        break
-                    idx = int(idx)
-                    if idx not in final_set:
-                        continue
-                    alignment = (
-                        align_pair(
-                            q, database.sequences[idx], self.matrix,
+                # Only rescored sequences may appear as hits.
+                hits = rank_hits(scores, database, top_k, among=finalists)
+                if traceback:
+                    hits = [
+                        replace(hit, alignment=align_pair(
+                            q, database.sequences[hit.index], self.matrix,
                             self.gaps, alphabet=self.alphabet,
-                        )
-                        if traceback
-                        else None
-                    )
-                    hits.append(
-                        Hit(
-                            index=idx,
-                            header=database.headers[idx],
-                            length=len(database.sequences[idx]),
-                            score=int(scores[idx]),
-                            alignment=alignment,
-                        )
-                    )
+                        ))
+                        for hit in hits
+                    ]
 
             self._record_metrics(stats, watch.seconds)
             result = TieredSearchResult(
@@ -518,7 +497,7 @@ class TieredSearch:
         filt = self._filter_for(q)
         chunk_size = self.options.chunk_size
         stats = TierStats(mode=self.mode)
-        heap: list[tuple[int, int, Hit]] = []
+        top = TopK(top_k)
         scanned = 0
         chunks = 0
         watch = Stopwatch()
@@ -562,19 +541,11 @@ class TieredSearch:
                                 self.matrix, self.gaps,
                             )
                             stats.rescore_cells += batch.cells
-                            for off, score in zip(finalists, batch.scores):
-                                idx = base + off
-                                hit = Hit(
-                                    index=idx,
-                                    header=pairs[off][0],
-                                    length=len(pairs[off][1]),
-                                    score=int(score),
-                                )
-                                entry = (int(score), -idx, hit)
-                                if len(heap) < top_k:
-                                    heapq.heappush(heap, entry)
-                                elif heap and entry > heap[0]:
-                                    heapq.heapreplace(heap, entry)
+                            headers, seqs = zip(*pairs)
+                            top.push(
+                                base + np.asarray(finalists), batch.scores,
+                                headers, seqs, base=base,
+                            )
                         stats.exhaustive_cells += len(q) * sum(
                             len(s) for _, s in pairs
                         )
@@ -584,37 +555,22 @@ class TieredSearch:
                                 rescored=len(finalists),
                             )
 
-            if scanned == 0 and not expired:
-                raise PipelineError("the record stream was empty")
             if root:
                 root.set_attributes(
-                    chunks=chunks, sequences=scanned, partial=expired,
                     seed_survivors=stats.seed_survivors,
                     verify_survivors=stats.verify_survivors,
                     cells_saved=round(stats.cells_saved, 4),
                 )
-            self._record_metrics(stats, watch.seconds)
-            self.metrics.increment("streaming.searches")
-            self.metrics.increment("streaming.chunks", chunks)
-            ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-            common = dict(
-                query_name=query_name,
-                query_length=len(q),
-                hits=[h for _, _, h in ranked],
-                sequences_scanned=scanned,
-                cells=stats.total_cells,
-                chunks=chunks,
-                wall_seconds=watch.seconds,
-                database_name=database_name,
+            result = finish_stream(
+                top, where="streaming.tiered", expired=expired,
+                metrics=self.metrics, root=root,
+                total_records=total_records, query_name=query_name,
+                query_length=len(q), database_name=database_name,
+                sequences_scanned=scanned, cells=stats.total_cells,
+                chunks=chunks, wall_seconds=watch.seconds,
             )
-            if expired:
-                self.metrics.increment("deadline.partial")
-                tracer.event(
-                    "deadline.expired", where="streaming.tiered",
-                    scanned=scanned,
-                )
-                return PartialResult(**common, total_records=total_records)
-            return StreamingResult(**common)
+            self._record_metrics(stats, watch.seconds)
+            return result
 
     def search_database(
         self, query, database, *, query_name: str = "query",

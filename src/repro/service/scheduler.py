@@ -35,6 +35,7 @@ from ..runtime.pcie import PCIE_GEN2_X16, PCIeLink
 from ..search.api import SearchOptions
 from ..search.pipeline import SearchPipeline
 from ..search.result import Hit, SearchResult
+from ..search.topk import rank_hits
 
 __all__ = ["QueueSearchOutcome", "WorkQueueScheduler"]
 
@@ -404,16 +405,7 @@ class WorkQueueScheduler:
     ) -> QueueSearchOutcome:
         """Rank merged scores and attach the static reference makespan."""
         with tracer.span("queue.merge"):
-            ranked = np.argsort(-scores, kind="stable")
-            hits = [
-                Hit(
-                    index=int(i),
-                    header=database.headers[int(i)],
-                    length=len(database.sequences[int(i)]),
-                    score=int(scores[int(i)]),
-                )
-                for i in ranked[: max(top_k, 0)]
-            ]
+            hits = rank_hits(scores, database, top_k)
         static = HybridExecutor(
             self.host_model, self.device_model, link=self.link
         ).run(database.lengths, len(q), self.static_fraction)

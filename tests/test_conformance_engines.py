@@ -234,7 +234,9 @@ class TestModeExactConformance:
     pipeline, streaming, sharded streaming) must produce output
     indistinguishable from the same entry point with no mode set —
     identical scores, identical Hit ranking under the stable tie-break,
-    identical cell accounting.
+    identical cell accounting.  The hybrid merges (static, queue,
+    resilient) must rank like the whole-database pipeline, and a tiered
+    scan must rank the same resident or streamed.
     """
 
     @pytest.fixture(scope="class")
@@ -309,6 +311,60 @@ class TestModeExactConformance:
             result = sharded.search_database(query, db)
         assert [(h.index, h.score) for h in result.hits] \
             == [(h.index, h.score) for h in serial.hits]
+
+    @pytest.mark.parametrize("top_k", [0, 1, "all"])
+    @pytest.mark.parametrize("path", ["static", "queue", "resilient"])
+    def test_hybrid_paths_identical(self, workload, path, top_k):
+        from repro.devices import XEON_E5_2670_DUAL, XEON_PHI_57XX
+        from repro.perfmodel import DevicePerformanceModel
+        from repro.runtime import ResilientHybridExecutor
+        from repro.search import (
+            HybridSearchPipeline, SearchOptions, SearchPipeline,
+        )
+
+        query, db = workload
+        k = len(db) + 5 if top_k == "all" else top_k
+        host = DevicePerformanceModel(XEON_E5_2670_DUAL)
+        phi = DevicePerformanceModel(XEON_PHI_57XX)
+        if path == "resilient":
+            merged = ResilientHybridExecutor(host, phi).search(
+                query, db, top_k=k
+            )
+        else:
+            merged = HybridSearchPipeline(host, phi, scheduler=path).search(
+                query, db, top_k=k
+            )
+        whole = SearchPipeline(SearchOptions(top_k=k)).search(query, db)
+        assert self._key(merged.result) == self._key(whole)
+
+    @pytest.fixture(scope="class")
+    def homologs(self, workload):
+        # Planted copies of the query survive the tiered filter; the
+        # unmutated ones tie at the top (in "sensitive" mode — "fast"
+        # keeps only the mutated copies).
+        from repro.db.mutate import plant_homologs
+
+        query, db = workload
+        planted, _ = plant_homologs(
+            db, {"q": PROTEIN.encode(query)}, [0.0, 0.2], per_rate=3, seed=5
+        )
+        return query, planted
+
+    @pytest.mark.parametrize("top_k", [0, 1, "all"])
+    @pytest.mark.parametrize("mode", ["sensitive", "fast"])
+    def test_tiered_resident_matches_streamed(self, homologs, mode, top_k):
+        from repro.search import SearchOptions, SearchPipeline, StreamingSearch
+
+        query, db = homologs
+        k = len(db) + 5 if top_k == "all" else top_k
+        opts = SearchOptions(mode=mode, top_k=k, chunk_size=32)
+        resident = SearchPipeline(opts).search(query, db)
+        streamed = StreamingSearch(opts).search_database(query, db)
+        assert self._key(streamed) == self._key(resident)
+        assert len(resident.hits) == min(k, resident.tier.verify_survivors)
+        if top_k == "all" and mode == "sensitive":
+            top_scores = [h.score for h in resident.hits]
+            assert len(set(top_scores)) < len(top_scores)
 
     def test_tiered_modes_return_tiered_result(self, workload):
         from repro.search import (

@@ -47,6 +47,33 @@ class TestCorrectness:
         for h in hybrid.result.hits:
             assert db.headers[h.index] == h.header
 
+    def test_duplicate_headers_rank_like_whole_database(self, pipeline):
+        # Headers are labels, not keys: the merge scatters by index.
+        from repro.alphabet import PROTEIN
+        from repro.db import SequenceDatabase
+        from repro.runtime import ResilientHybridExecutor
+
+        db = SequenceDatabase(
+            name="dups",
+            sequences=[PROTEIN.encode(s) for s in (
+                "MKTAYIAKQRQISFVKSHFSRQ", "GGGGGGGGGGGG", "MKTAYIAKQR",
+            )],
+            headers=["dup", "uniq", "dup"],
+        )
+        query = "MKTAYIAKQRQISF"
+        whole = SearchPipeline().search(query, db, top_k=3)
+        hybrid = pipeline.search(query, db, device_fraction=0.5, top_k=3)
+        resilient = ResilientHybridExecutor(
+            pipeline.host_model, pipeline.device_model
+        ).search(query, db, device_fraction=0.5, top_k=3)
+
+        def key(result):
+            return [(h.index, h.header, h.score) for h in result.hits]
+
+        for merged in (hybrid.result, resilient.result):
+            assert key(merged) == key(whole)
+            assert np.array_equal(merged.scores, whole.scores)
+
     def test_empty_database_rejected(self, pipeline):
         from repro.db import SequenceDatabase
 

@@ -121,6 +121,20 @@ class TestTopKZero:
         assert len(result.scores) == len(db)
         assert result.best_score() > 0
 
+    @pytest.mark.parametrize("search", [
+        lambda db: SearchPipeline().search(QUERY, db, top_k=-1),
+        lambda db: StreamingSearch().search_database(QUERY, db, top_k=-1),
+        lambda db: SearchPipeline(SearchOptions(mode="fast")).search(
+            QUERY, db, top_k=-1
+        ),
+        lambda db: StreamingSearch(SearchOptions(mode="fast")).search_database(
+            QUERY, db, top_k=-1
+        ),
+    ], ids=["resident", "streamed", "tiered", "tiered-streamed"])
+    def test_negative_per_call_top_k_rejected(self, db, search):
+        with pytest.raises(PipelineError, match="top_k must be non-negative"):
+            search(db)
+
     def test_streaming_scores_only(self, db):
         result = StreamingSearch(SearchOptions(top_k=0)).search_database(
             QUERY, db
@@ -164,3 +178,37 @@ class TestZeroWallTimeGcups:
         )
         with pytest.raises(PipelineError):
             result.wall_gcups
+
+
+class TestTopKMerger:
+    def test_journal_heap_layout_round_trips(self):
+        # A journal heap as a heapq-based merger wrote it (any valid
+        # min-heap order on (score, -index)) loads into the same ranking,
+        # and what TopK packs is again a valid min-heap.
+        import heapq
+
+        from repro.search.topk import TopK
+
+        heap = [
+            [s, -i, {"index": i, "header": f"h{i}", "length": 10 + i,
+                     "score": s}]
+            for i, s in enumerate([5, 9, 9, 1, 7])
+        ]
+        heapq.heapify(heap)
+        top = TopK.load(5, heap)
+        assert [(h.index, h.score) for h in top.ranked()] == [
+            (1, 9), (2, 9), (4, 7), (0, 5), (3, 1),
+        ]
+        packed = top.pack()
+        keys = [tuple(e[:2]) for e in packed]
+        assert all(keys[(i - 1) // 2] <= keys[i] for i in range(1, len(keys)))
+        assert TopK.load(5, packed).ranked() == top.ranked()
+
+    def test_pushes_must_follow_stream_order(self):
+        from repro.search.topk import TopK
+
+        top = TopK(2)
+        top.push([3, 4], [1, 2], ["a", "b"], ["AC", "ACD"], base=3)
+        with pytest.raises(PipelineError, match="stream order"):
+            top.push([4], [9], ["b"], ["ACD"], base=4)
+        assert [(h.index, h.length) for h in top.ranked()] == [(4, 3), (3, 2)]

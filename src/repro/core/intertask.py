@@ -10,8 +10,8 @@ Three of the paper's optimisations are implemented faithfully:
 
 * **Length-sorted lane packing** (:func:`build_lane_groups`) — grouping
   consecutive sequences of the pre-sorted database into lanes keeps lane
-  lengths similar, minimising padding waste exactly like the paper's
-  pre-processing step (2).
+  lengths similar, like the paper's pre-processing step (2); groups are
+  cut where padding would cost more than dispatching one more group.
 * **QP vs SP addressing** (``profile=``) — query-profile mode gathers
   each DP row's scores through the database residues (the non-contiguous
   access that hurts on gather-less AVX); sequence-profile mode
@@ -45,6 +45,13 @@ __all__ = ["LaneGroup", "build_lane_groups", "InterTaskEngine"]
 
 _NEG = np.int64(-(1 << 40))
 _PAD_SCORE = np.int64(-(1 << 30))
+
+#: Kernel cost of one more lane group, in padded DP cells per query row.
+#: Each group pays a fixed chain of array dispatches per query row on top
+#: of its ``width * n_max`` cells; :func:`build_lane_groups` trades one
+#: against the other.  Set by a 2048..16384 sweep on the paper's length
+#: law and on short serving queries (DESIGN.md §15).
+GROUP_COST_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,39 @@ class LaneGroup:
         return 1.0 - self.cells_per_query_row / total if total else 0.0
 
 
+def _group_bounds(lengths: np.ndarray, lanes: int) -> list[int]:
+    """End offsets of the cheapest cut of ``lengths`` into lane groups.
+
+    Exact dynamic program over contiguous runs of at most ``lanes``
+    entries minimising ``sum_g GROUP_COST_CELLS + width_g * n_max_g``:
+    ``best[j] = min_{j-lanes <= i < j} best[i] + C + max(len[i:j]) * (j-i)``.
+    ``argmin`` keeps the earliest ``i`` on ties, so the cut is a pure
+    function of the length sequence.
+    """
+    n = len(lengths)
+    best = np.zeros(n + 1, dtype=np.int64)
+    start = [0] * (n + 1)
+    offsets = np.arange(n + 1, dtype=np.int64)
+    as_ints = lengths.tolist()
+    ascending = bool((lengths[1:] >= lengths[:-1]).all())
+    for j in range(1, n + 1):
+        lo = max(0, j - lanes)
+        if ascending:
+            n_max = as_ints[j - 1]
+        else:  # run maxima max(len[i:j]) for every candidate start i
+            n_max = np.maximum.accumulate(lengths[lo:j][::-1])[::-1]
+        cost = best[lo:j] + n_max * (j - offsets[lo:j])
+        k = int(cost.argmin())
+        best[j] = cost[k] + GROUP_COST_CELLS
+        start[j] = lo + k
+    bounds = []
+    j = n
+    while j > 0:
+        bounds.append(j)
+        j = start[j]
+    return bounds[::-1]
+
+
 def build_lane_groups(
     db_seqs: list[np.ndarray],
     lanes: int,
@@ -113,36 +153,39 @@ def build_lane_groups(
     sequences are packed in ascending length order so each group's lanes
     have near-equal lengths; scores are later scattered back through
     ``indices`` so callers always see original order.
+
+    ``lanes`` is the *maximum* group width.  The packing order is cut
+    into contiguous groups where the padding a longer run would add
+    costs more than :data:`GROUP_COST_CELLS` — see :func:`_group_bounds`.
     """
     if lanes < 1:
         raise EngineError(f"lane count must be positive, got {lanes}")
     if not db_seqs:
         return []
-    order = (
-        sorted(range(len(db_seqs)), key=lambda k: len(db_seqs[k]))
-        if sort_by_length
-        else list(range(len(db_seqs)))
+    seqs = [np.asarray(s) for s in db_seqs]
+    lengths = np.fromiter(
+        (len(s) for s in seqs), dtype=np.int64, count=len(seqs)
     )
-    pad_code = None  # resolved per group from dtype below
+    order = (
+        np.argsort(lengths, kind="stable")
+        if sort_by_length
+        else np.arange(len(seqs), dtype=np.int64)
+    )
     groups: list[LaneGroup] = []
-    for start in range(0, len(order), lanes):
-        chunk = order[start : start + lanes]
-        seqs = [np.asarray(db_seqs[k]) for k in chunk]
-        n_max = max(len(s) for s in seqs)
+    lo = 0
+    for hi in _group_bounds(lengths[order], lanes):
+        chunk = order[lo:hi]
+        lo = hi
+        group_lengths = lengths[chunk]
         # Pad code is one past the alphabet: engines extend their score
         # tables with a poison column at this index.
-        pad_code = 255
-        codes = np.full((n_max, len(chunk)), pad_code, dtype=np.uint8)
-        lengths = np.zeros(len(chunk), dtype=np.int64)
-        for l, s in enumerate(seqs):
-            codes[: len(s), l] = s
-            lengths[l] = len(s)
+        codes = np.full(
+            (int(group_lengths.max()), len(chunk)), 255, dtype=np.uint8
+        )
+        for l, k in enumerate(chunk):
+            codes[: group_lengths[l], l] = seqs[k]
         groups.append(
-            LaneGroup(
-                codes=codes,
-                lengths=lengths,
-                indices=np.asarray(chunk, dtype=np.int64),
-            )
+            LaneGroup(codes=codes, lengths=group_lengths, indices=chunk)
         )
     return groups
 
@@ -155,7 +198,8 @@ class InterTaskEngine(AlignmentEngine):
     ----------
     lanes:
         Vector width in elements, e.g. 8 for AVX/int32 or 16 for
-        MIC-512/int32 (the paper's two targets).
+        MIC-512/int32 (the paper's two targets); the widest lane group
+        :func:`build_lane_groups` packs.
     profile:
         ``"query"`` (QP) or ``"sequence"`` (SP) score addressing.
     block_cols:

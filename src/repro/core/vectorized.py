@@ -107,9 +107,10 @@ class VectorizedEngine(AlignmentEngine):
     Parameters
     ----------
     lanes:
-        Database sequences processed per lane group.  Unlike the SIMD
-        emulation this is not a hardware width — wider is generally
-        faster until padding waste dominates.
+        Most database sequences processed per lane group.  Unlike the
+        SIMD emulation this is not a hardware width: packing cuts
+        narrower groups where padding would cost more than one more
+        group (:func:`~repro.core.intertask.build_lane_groups`).
     profile:
         ``"query"`` (QP) or ``"sequence"`` (SP) score addressing, as in
         :class:`InterTaskEngine`.

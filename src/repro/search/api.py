@@ -70,8 +70,10 @@ class SearchOptions:
     matrix, gaps:
         Scoring scheme.
     lanes:
-        Inter-task vector width; ``None`` lets each consumer pick (the
-        chosen kernel's default width).
+        Inter-task vector width, the *maximum* lane-group width: packing
+        cuts narrower groups where padding costs more than a group
+        (:func:`~repro.core.intertask.build_lane_groups`).  ``None`` lets
+        each consumer pick (the chosen kernel's default width).
     kernel:
         Scoring kernel for the inter-task engine: ``"python"`` (the
         instruction-faithful SIMD emulation), ``"numpy"`` (the

@@ -348,6 +348,9 @@ class SearchPipeline:
                         sp.set_attributes(
                             groups=len(pre.groups),
                             reused=preprocessed is not None,
+                            # DP cells per query residue
+                            real_cells=pre.total_residues,
+                            padded_cells=pre.padded_residues,
                         )
                 groups = pre.groups
                 # Step 3: the parallel group loop.  ParallelFor simulates

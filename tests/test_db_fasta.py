@@ -59,6 +59,12 @@ class TestRecord:
         with pytest.raises(FastaError, match="whitespace"):
             FastaRecord("h", "AC DE")
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
+    def test_unicode_whitespace_in_sequence_rejected(self, space):
+        # Every str.isspace() code point counts, not just ASCII blanks.
+        with pytest.raises(FastaError, match="whitespace"):
+            FastaRecord("h", f"AC{space}DE")
+
     def test_blank_header_rejected(self):
         with pytest.raises(FastaError, match="non-empty header"):
             FastaRecord("   ", "ACDE")

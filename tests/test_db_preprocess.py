@@ -23,8 +23,13 @@ class TestPreprocess:
         assert pre.total_residues == small_db.total_residues
 
     def test_group_count(self, small_db):
+        # ``lanes`` caps the group width; the cost model may cut earlier,
+        # so the fixed-width count is a lower bound, not the answer.
         pre = preprocess_database(small_db, lanes=8)
-        assert len(pre.groups) == -(-len(small_db) // 8)
+        assert len(pre.groups) >= -(-len(small_db) // 8)
+        assert max(g.lanes for g in pre.groups) <= 8
+        order = np.concatenate([g.indices for g in pre.groups])
+        assert np.array_equal(order, np.arange(len(small_db)))
 
     def test_padding_small_after_sorting(self, small_db):
         pre = preprocess_database(small_db, lanes=8)

@@ -24,6 +24,7 @@ from repro import (
     Tracer,
     use_tracer,
 )
+from repro.db import preprocess_database
 from repro.db.fasta import FastaRecord
 from repro.faults.policy import RetryPolicy
 
@@ -68,6 +69,19 @@ class TestPipelineTracing:
         }
         assert root.attributes["database"] == "obs-db"
         assert root.attributes["best_score"] == result.best_score()
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_preprocess_span_reports_padding(self, db, query, reuse):
+        pipe = SearchPipeline(SearchOptions(top_k=3))
+        pre = preprocess_database(db, lanes=pipe.lanes)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pipe.search(query, db, preprocessed=pre if reuse else None)
+        (span,) = tracer.collector.find("pipeline.preprocess")
+        assert span.attributes["reused"] is reuse
+        assert span.attributes["real_cells"] == pre.total_residues
+        assert span.attributes["padded_cells"] == pre.padded_residues
+        assert pre.padded_residues >= pre.total_residues == db.total_residues
 
     def test_trace_provenance_links_result_to_root_span(self, db, query):
         tracer = Tracer()

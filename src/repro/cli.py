@@ -44,17 +44,82 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
+from typing import Any
 
 from . import __version__
 from .bench import _NO_COMPARE as _BENCH_NO_COMPARE
+from .core import DEFAULT_LANES
 from .exceptions import ReproError
+from .search import SearchOptions, SearchRequest
+from .search.sharded import DEFAULT_SHARD_RESIDUES
 
 __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
+    """Construct the CLI argument parser.
+
+    Flags several subcommands share with one meaning are declared once,
+    in a parent parser: ``scoring`` (matrix and gaps), ``search``
+    (scoring plus lanes, kernel and mode: what :func:`options_from_args`
+    reads), ``database``, ``profile``, ``metrics`` and ``scheduler``.
+    ``--top``, ``--workers``, ``--query`` and ``--fault-plan`` stay per
+    subcommand: their defaults or help differ.
+    """
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--matrix", default="BLOSUM62")
+    scoring.add_argument("--gap-open", type=int, default=10)
+    scoring.add_argument("--gap-extend", type=int, default=2)
+
+    search = argparse.ArgumentParser(add_help=False, parents=[scoring])
+    search.add_argument(
+        "--lanes", type=int, default=None,
+        help="maximum lane-group width (default: the kernel's width, "
+             f"python {DEFAULT_LANES['python']} / numpy "
+             f"{DEFAULT_LANES['numpy']}; each device's native width "
+             "under the static and queue schedulers)",
+    )
+    search.add_argument("--kernel", choices=("python", "numpy"), default=None,
+                        help="inter-task scoring kernel (default: "
+                             "$REPRO_KERNEL or python; scores are identical)")
+    search.add_argument("--mode", choices=("exact", "sensitive", "fast"),
+                        default="exact",
+                        help="search tier: exact = exhaustive SW; "
+                             "sensitive/fast = seed + banded verify, exact "
+                             "SW only on survivors (returned scores stay "
+                             "bit-identical; distant hits may be missed)")
+
+    database = argparse.ArgumentParser(add_help=False)
+    database.add_argument("--db-fasta", help="database FASTA file")
+    database.add_argument(
+        "--synthetic-scale", type=float, default=None,
+        help="use a synthetic Swiss-Prot at this scale (e.g. 0.0005)",
+    )
+
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", choices=("query", "sequence"),
+                         default="sequence")
+
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument("--metrics", action="store_true",
+                         help="print the command's metrics (counters, "
+                              "gauges, latency percentiles) from an "
+                              "isolated registry")
+
+    scheduler = argparse.ArgumentParser(add_help=False)
+    scheduler.add_argument("--scheduler", choices=("local", "static", "queue"),
+                           default="local",
+                           help="local pipeline, static host/device split, "
+                                "or the dynamic work queue (--mode "
+                                "sensitive/fast need the local scheduler)")
+    scheduler.add_argument("--chunks", type=int, default=24,
+                           help="work-queue granularity (queue scheduler)")
+    scheduler.add_argument("--static-fraction", type=float, default=0.55,
+                           help="device share of the static reference split")
+
     p = argparse.ArgumentParser(
         prog="repro-sw",
         description="Smith-Waterman on heterogeneous systems (CLUSTER'14 reproduction)",
@@ -62,28 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="run a database search")
+    s = sub.add_parser("search", help="run a database search",
+                       parents=[search, database, profile, metrics])
     s.add_argument("--query", help="query sequence (residue letters)")
     s.add_argument("--query-fasta", help="FASTA file; first record is the query")
-    s.add_argument("--db-fasta", help="database FASTA file")
-    s.add_argument(
-        "--synthetic-scale", type=float, default=None,
-        help="use a synthetic Swiss-Prot at this scale (e.g. 0.0005)",
-    )
-    s.add_argument("--matrix", default="BLOSUM62")
-    s.add_argument("--gap-open", type=int, default=10)
-    s.add_argument("--gap-extend", type=int, default=2)
-    s.add_argument("--lanes", type=int, default=8)
-    s.add_argument("--kernel", choices=("python", "numpy"), default=None,
-                   help="inter-task scoring kernel (default: "
-                        "$REPRO_KERNEL or python; scores are identical)")
-    s.add_argument("--profile", choices=("query", "sequence"), default="sequence")
-    s.add_argument("--mode", choices=("exact", "sensitive", "fast"),
-                   default="exact",
-                   help="search tier: exact = exhaustive SW; sensitive/fast "
-                        "= seed + banded verify, exact SW only on survivors "
-                        "(returned scores stay bit-identical; distant hits "
-                        "may be missed)")
     s.add_argument("--top", type=int, default=10)
     s.add_argument("--traceback", action="store_true",
                    help="print alignments for the top hits")
@@ -94,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fault-plan", metavar="SPEC",
                    help='inject faults, e.g. "seed=7,corrupt=0.2" '
                         "(scores stay exact via the checksum guard)")
-    s.add_argument("--metrics", action="store_true",
-                   help="print the search's metrics (counters, gauges, "
-                        "latency percentiles) from an isolated registry")
     s.add_argument("--workers", type=int, default=1,
                    help="score on a pool of real worker processes "
                         "(scores identical to --workers 1)")
@@ -109,29 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="serve a database over HTTP (the repro.serve wire protocol)",
-    )
-    sv.add_argument("--db-fasta", help="database FASTA file")
-    sv.add_argument(
-        "--synthetic-scale", type=float, default=None,
-        help="use a synthetic Swiss-Prot at this scale (e.g. 0.0005)",
+        description="Serve a database over HTTP. Every client gets the "
+                    "--mode and scoring flags given here; clients sending "
+                    "options must match them.",
+        parents=[search, database, profile],
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=0,
                     help="bind port (0 = ephemeral; the bound URL is "
                          "printed on startup)")
-    sv.add_argument("--matrix", default="BLOSUM62")
-    sv.add_argument("--gap-open", type=int, default=10)
-    sv.add_argument("--gap-extend", type=int, default=2)
-    sv.add_argument("--lanes", type=int, default=8)
-    sv.add_argument("--kernel", choices=("python", "numpy"), default=None,
-                    help="inter-task scoring kernel (default: "
-                         "$REPRO_KERNEL or python; scores are identical)")
-    sv.add_argument("--profile", choices=("query", "sequence"),
-                    default="sequence")
-    sv.add_argument("--mode", choices=("exact", "sensitive", "fast"),
-                    default="exact",
-                    help="search tier served to every client (clients "
-                         "sending options must match it)")
     sv.add_argument("--top", type=int, default=10)
     sv.add_argument("--max-inflight", type=int, default=None,
                     help="admission cap: concurrent requests admitted "
@@ -143,40 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--workers", type=int, default=1,
                     help="score on a pool of real worker processes")
 
-    bt = sub.add_parser("batch", help="serve a batch of queries")
+    bt = sub.add_parser("batch", help="serve a batch of queries",
+                        parents=[search, database, scheduler, metrics])
     bt.add_argument("--queries", type=int, default=4,
                     help="number of paper benchmark queries to serve")
     bt.add_argument("--query-fasta",
                     help="FASTA file; every record becomes a request")
-    bt.add_argument("--db-fasta", help="database FASTA file")
-    bt.add_argument(
-        "--synthetic-scale", type=float, default=None,
-        help="use a synthetic Swiss-Prot at this scale (e.g. 0.0005)",
-    )
-    bt.add_argument("--scheduler", choices=("local", "static", "queue"),
-                    default="local",
-                    help="local pipeline, static host/device split, or the "
-                         "dynamic work queue")
-    bt.add_argument("--matrix", default="BLOSUM62")
-    bt.add_argument("--gap-open", type=int, default=10)
-    bt.add_argument("--gap-extend", type=int, default=2)
-    bt.add_argument("--lanes", type=int, default=None,
-                    help="SIMD lanes (default: each device's native width)")
-    bt.add_argument("--kernel", choices=("python", "numpy"), default=None,
-                    help="inter-task scoring kernel (default: "
-                         "$REPRO_KERNEL or python; scores are identical)")
-    bt.add_argument("--mode", choices=("exact", "sensitive", "fast"),
-                    default="exact",
-                    help="search tier (sensitive/fast need the local "
-                         "scheduler)")
     bt.add_argument("--top", type=int, default=5)
-    bt.add_argument("--chunks", type=int, default=24,
-                    help="work-queue granularity (queue scheduler)")
-    bt.add_argument("--static-fraction", type=float, default=0.55,
-                    help="device share of the static reference split")
-    bt.add_argument("--metrics", action="store_true",
-                    help="print the batch's metrics (counters, gauges, "
-                         "latency percentiles) from an isolated registry")
     bt.add_argument("--workers", type=int, default=1,
                     help="drain the batch on a pool of real worker "
                          "processes (local and queue schedulers)")
@@ -184,31 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser(
         "stream",
         help="out-of-core streaming search (database never fully loaded)",
+        parents=[search, metrics],
     )
     st.add_argument("--query", help="query sequence (residue letters)")
     st.add_argument("--query-fasta",
                     help="FASTA file; first record is the query")
     st.add_argument("--db-fasta", required=True,
                     help="database FASTA file to stream")
-    st.add_argument("--matrix", default="BLOSUM62")
-    st.add_argument("--gap-open", type=int, default=10)
-    st.add_argument("--gap-extend", type=int, default=2)
-    st.add_argument("--lanes", type=int, default=8)
-    st.add_argument("--kernel", choices=("python", "numpy"), default=None,
-                    help="inter-task scoring kernel (default: "
-                         "$REPRO_KERNEL or python; scores are identical)")
-    st.add_argument("--mode", choices=("exact", "sensitive", "fast"),
-                    default="exact",
-                    help="search tier: exact = exhaustive SW; "
-                         "sensitive/fast prune with seeds + banded verify")
-    st.add_argument("--chunk-size", type=int, default=512,
+    st.add_argument("--chunk-size", type=int, default=SearchOptions.chunk_size,
                     help="records scored per batch")
     st.add_argument("--top", type=int, default=10,
                     help="ranked hits kept (0 = scores only)")
     st.add_argument("--workers", type=int, default=1,
                     help="score shards on a pool of real worker processes "
                          "(results identical to --workers 1)")
-    st.add_argument("--shard-residues", type=int, default=1_000_000,
+    st.add_argument("--shard-residues", type=int,
+                    default=DEFAULT_SHARD_RESIDUES,
                     help="max residues resident per shard (--workers > 1)")
     st.add_argument("--shard-records", type=int, default=None,
                     help="max records resident per shard (--workers > 1)")
@@ -228,12 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--chunk-timeout", type=float, default=None,
                     help="seconds before an unresponsive worker chunk is "
                          "declared hung and the pool is healed")
-    st.add_argument("--metrics", action="store_true",
-                    help="print the scan's metrics from an isolated registry")
 
     t = sub.add_parser(
         "trace",
         help="run a traced batch and export the span tree",
+        parents=[search, database, scheduler, metrics],
     )
     t.add_argument("--query", help="query sequence (residue letters)")
     t.add_argument("--query-fasta",
@@ -241,21 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--queries", type=int, default=1,
                    help="number of paper benchmark queries to serve "
                         "(when no explicit query is given)")
-    t.add_argument("--db-fasta", help="database FASTA file")
-    t.add_argument(
-        "--synthetic-scale", type=float, default=None,
-        help="use a synthetic Swiss-Prot at this scale (e.g. 0.0005)",
-    )
-    t.add_argument("--scheduler", choices=("local", "static", "queue"),
-                   default="local")
-    t.add_argument("--matrix", default="BLOSUM62")
-    t.add_argument("--gap-open", type=int, default=10)
-    t.add_argument("--gap-extend", type=int, default=2)
     t.add_argument("--top", type=int, default=5)
-    t.add_argument("--chunks", type=int, default=24,
-                   help="work-queue granularity (queue scheduler)")
-    t.add_argument("--static-fraction", type=float, default=0.55,
-                   help="device share of the static reference split")
     t.add_argument("--output", default="trace.json",
                    help="Chrome trace-event JSON output path "
                         "(open in Perfetto / chrome://tracing)")
@@ -263,22 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the flat JSONL span log here")
     t.add_argument("--tree", action="store_true",
                    help="print the span tree to stdout")
-    t.add_argument("--metrics", action="store_true",
-                   help="print the traced run's metrics")
 
-    a = sub.add_parser("align", help="align two sequences with traceback")
+    a = sub.add_parser("align", help="align two sequences with traceback",
+                       parents=[scoring])
     a.add_argument("sequence_a", help="query residue letters")
     a.add_argument("sequence_b", help="target residue letters")
     a.add_argument("--mode", choices=("local", "global", "semiglobal"),
                    default="local")
-    a.add_argument("--matrix", default="BLOSUM62")
-    a.add_argument("--gap-open", type=int, default=10)
-    a.add_argument("--gap-extend", type=int, default=2)
 
-    b = sub.add_parser("blast", help="seed-and-extend heuristic search")
+    b = sub.add_parser("blast", help="seed-and-extend heuristic search",
+                       parents=[database])
     b.add_argument("--query", required=True)
-    b.add_argument("--db-fasta")
-    b.add_argument("--synthetic-scale", type=float, default=None)
     b.add_argument("--word-size", type=int, default=3)
     b.add_argument("--threshold", type=int, default=11)
     b.add_argument("--top", type=int, default=10)
@@ -341,65 +315,162 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    from .db import SequenceDatabase, SyntheticSwissProt, read_fasta
+class _UsageError(Exception):
+    """A missing input or bad flag combination: exit status 2."""
+
+
+def _check_usage(args: argparse.Namespace) -> None:
+    """Reject the flag combinations no handler can run (exit status 2)."""
+    if getattr(args, "server", None):
+        unsupported = [
+            (args.fault_plan, "--fault-plan (fault injection is server-side)"),
+            (args.workers > 1, "--workers (scoring happens on the server)"),
+            (args.db_fasta or args.synthetic_scale,
+             "--db-fasta/--synthetic-scale (the server owns its database)"),
+            (args.evalues, "--evalues (needs the full score distribution, "
+                           "which stays server-side)"),
+            (args.tsv, "--tsv"),
+        ]
+        for flagged, what in unsupported:
+            if flagged:
+                raise _UsageError(f"{what} cannot be combined with --server")
+        return
+    if getattr(args, "workers", 1) < 1:
+        raise _UsageError("--workers must be positive")
+    tiered = getattr(args, "mode", "exact") != "exact"
+    if getattr(args, "fault_plan", None) and tiered:
+        raise _UsageError("--fault-plan needs --mode exact (faults target "
+                          "the lane groups the tiered path never forms)")
+    if args.command == "batch" and args.workers > 1 and args.scheduler == "static":
+        raise _UsageError("--workers needs the local or queue scheduler "
+                          "(the static split is purely modelled)")
+    if args.command == "stream":
+        if args.resume and not args.journal:
+            raise _UsageError("--resume needs --journal")
+        if (args.journal or args.resume) and args.workers == 1:
+            raise _UsageError("--journal/--resume need --workers > 1 (only "
+                              "the sharded scan journals its merge state)")
+        if args.deadline is not None and args.deadline <= 0:
+            raise _UsageError("--deadline must be positive")
+
+
+def options_from_args(args: argparse.Namespace, **extra: Any) -> SearchOptions:
+    """The :class:`SearchOptions` the search and scoring flags describe.
+
+    ``extra`` carries the fields only some subcommands set (``profile``,
+    ``chunk_size``, ``injector``, ``deadline``).  ``lanes`` stays ``None``
+    unless ``--lanes`` is given, so the chosen kernel picks its width.
+    """
     from .scoring import GapModel, get_matrix
-    from .search import SearchOptions, SearchPipeline
 
-    if args.query:
-        query = args.query
-        qname = "cmdline-query"
-    elif args.query_fasta:
-        rec = next(iter(read_fasta(args.query_fasta)))
-        query, qname = rec.sequence, rec.accession
-    else:
-        print("error: provide --query or --query-fasta", file=sys.stderr)
-        return 2
-
-    if args.server:
-        return _search_remote(args, query, qname)
-
-    if args.db_fasta:
-        db = SequenceDatabase.from_fasta(args.db_fasta)
-    elif args.synthetic_scale:
-        db = SyntheticSwissProt().generate(scale=args.synthetic_scale)
-    else:
-        print("error: provide --db-fasta or --synthetic-scale", file=sys.stderr)
-        return 2
-
-    injector = None
-    if args.fault_plan:
-        if args.mode != "exact":
-            print("error: --fault-plan needs --mode exact (faults target "
-                  "the lane groups the tiered path never forms)",
-                  file=sys.stderr)
-            return 2
-        from .faults import FaultInjector, FaultPlan
-
-        injector = FaultInjector(FaultPlan.parse(args.fault_plan))
-
-    registry = None
-    if args.metrics:
-        from .metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-    pipeline = SearchPipeline(SearchOptions(
+    return SearchOptions(
         matrix=get_matrix(args.matrix),
         gaps=GapModel(args.gap_open, args.gap_extend),
         lanes=args.lanes,
         kernel=args.kernel,
-        profile=args.profile,
         mode=args.mode,
         top_k=args.top,
-        injector=injector,
-    ), metrics=registry, workers=args.workers)
+        **extra,
+    )
+
+
+def _load_database(args: argparse.Namespace):
+    """The database ``--db-fasta`` or ``--synthetic-scale`` names."""
+    from .db import SequenceDatabase, SyntheticSwissProt
+
+    if args.db_fasta:
+        return SequenceDatabase.from_fasta(args.db_fasta)
+    if args.synthetic_scale:
+        return SyntheticSwissProt().generate(scale=args.synthetic_scale)
+    raise _UsageError("provide --db-fasta or --synthetic-scale")
+
+
+def _load_requests(
+    args: argparse.Namespace, *, first_only: bool = False
+) -> list[SearchRequest]:
+    """The queries ``--query`` / ``--query-fasta`` name, as requests.
+
+    Without either, subcommands that take ``--queries`` serve that many
+    of the paper's benchmark queries.  ``first_only`` reads just the
+    first FASTA record (single-query subcommands).
+    """
+    from .db import PAPER_QUERIES, make_query_set, read_fasta
+
+    if getattr(args, "query", None):
+        return [SearchRequest(query=args.query, name="cmdline-query")]
+    if args.query_fasta:
+        records = read_fasta(args.query_fasta)
+        records = itertools.islice(records, 1 if first_only else None)
+        requests = [
+            SearchRequest(query=rec.sequence, name=rec.accession)
+            for rec in records
+        ]
+    elif hasattr(args, "queries"):
+        specs = PAPER_QUERIES[: max(args.queries, 1)]
+        queries = make_query_set(specs)
+        requests = [
+            SearchRequest(query=queries[s.accession], name=s.accession)
+            for s in specs
+        ]
+    else:
+        raise _UsageError("provide --query or --query-fasta")
+    if not requests:
+        raise _UsageError("no queries to serve")
+    return requests
+
+
+def _fault_injector(args: argparse.Namespace):
+    """The injector ``--fault-plan`` asks for, or ``None``."""
+    if not args.fault_plan:
+        return None
+    from .faults import FaultInjector, FaultPlan
+
+    return FaultInjector(FaultPlan.parse(args.fault_plan))
+
+
+def _metrics_registry(args: argparse.Namespace):
+    """An isolated registry when ``--metrics`` is given, else ``None``.
+
+    Every layer the command drives reports here, never into the global
+    ``METRICS``, so what gets printed is exactly this command's work.
+    """
+    if not args.metrics:
+        return None
+    from .metrics import MetricsRegistry
+
+    return MetricsRegistry()
+
+
+def _print_metrics(registry) -> None:
+    if registry is not None:
+        print("\nmetrics:")
+        print(registry.render())
+
+
+def _print_alignments(result, top: int) -> None:
+    for hit in result.top(top):
+        if hit.alignment and hit.alignment.score > 0:
+            print(f"\n>{hit.header}")
+            print(hit.alignment.pretty())
+
+
+def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchPipeline
+
+    request = _load_requests(args, first_only=True)[0]
+    if args.server:
+        return _search_remote(args, request)
+    db = _load_database(args)
+    injector = _fault_injector(args)
+    registry = _metrics_registry(args)
+    pipeline = SearchPipeline(
+        options_from_args(args, profile=args.profile, injector=injector),
+        metrics=registry, workers=args.workers,
+    )
     try:
         result = pipeline.search(
-            query, db, query_name=qname, traceback=args.traceback
+            request.query, db, query_name=request.name,
+            traceback=args.traceback,
         )
     finally:
         pipeline.close()
@@ -428,88 +499,36 @@ def _cmd_search(args: argparse.Namespace) -> int:
             title="hit statistics (Gumbel fit from the score distribution)",
         ))
     if args.traceback:
-        for hit in result.top(args.top):
-            if hit.alignment and hit.alignment.score > 0:
-                print(f"\n>{hit.header}")
-                print(hit.alignment.pretty())
-    if registry is not None:
-        print("\nmetrics:")
-        print(registry.render())
+        _print_alignments(result, args.top)
+    _print_metrics(registry)
     return 0
 
 
-def _search_remote(args: argparse.Namespace, query: str, qname: str) -> int:
+def _search_remote(args: argparse.Namespace, request: SearchRequest) -> int:
     """The ``search --server URL`` path: same flags, remote execution."""
-    from .scoring import GapModel, get_matrix
-    from .search import SearchOptions, SearchRequest
     from .serve import SearchClient
 
-    unsupported = [
-        (args.fault_plan, "--fault-plan (fault injection is server-side)"),
-        (args.workers > 1, "--workers (scoring happens on the server)"),
-        (args.db_fasta or args.synthetic_scale,
-         "--db-fasta/--synthetic-scale (the server owns its database)"),
-        (args.evalues, "--evalues (needs the full score distribution, "
-                       "which stays server-side)"),
-        (args.tsv, "--tsv"),
-    ]
-    for flagged, what in unsupported:
-        if flagged:
-            print(f"error: {what} cannot be combined with --server",
-                  file=sys.stderr)
-            return 2
-
-    client = SearchClient(args.server, options=SearchOptions(
-        matrix=get_matrix(args.matrix),
-        gaps=GapModel(args.gap_open, args.gap_extend),
-        lanes=args.lanes,
-        kernel=args.kernel,
-        profile=args.profile,
-        mode=args.mode,
-        top_k=args.top,
-    ))
-    result = client.search(SearchRequest(
-        query=query, name=qname, traceback=args.traceback,
-    ))
+    client = SearchClient(
+        args.server, options=options_from_args(args, profile=args.profile)
+    )
+    result = client.search(
+        dataclasses.replace(request, traceback=args.traceback)
+    )
     print(result.summary())
     if args.traceback:
-        for hit in result.top(args.top):
-            if hit.alignment and hit.alignment.score > 0:
-                print(f"\n>{hit.header}")
-                print(hit.alignment.pretty())
+        _print_alignments(result, args.top)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from .db import SequenceDatabase, SyntheticSwissProt
-    from .scoring import GapModel, get_matrix
-    from .search import SearchOptions
     from .serve import SearchServer
 
-    if args.db_fasta:
-        db = SequenceDatabase.from_fasta(args.db_fasta)
-    elif args.synthetic_scale:
-        db = SyntheticSwissProt().generate(scale=args.synthetic_scale)
-    else:
-        print("error: provide --db-fasta or --synthetic-scale", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-
+    db = _load_database(args)
     server = SearchServer(
         db,
-        SearchOptions(
-            matrix=get_matrix(args.matrix),
-            gaps=GapModel(args.gap_open, args.gap_extend),
-            lanes=args.lanes,
-            kernel=args.kernel,
-            profile=args.profile,
-            mode=args.mode,
-            top_k=args.top,
-        ),
+        options_from_args(args, profile=args.profile),
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
@@ -544,76 +563,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .db import (
-        PAPER_QUERIES,
-        SequenceDatabase,
-        SyntheticSwissProt,
-        make_query_set,
-        read_fasta,
-    )
-    from .scoring import GapModel, get_matrix
-    from .search import SearchOptions, SearchRequest
     from .service import SearchService
 
-    if args.db_fasta:
-        db = SequenceDatabase.from_fasta(args.db_fasta)
-    elif args.synthetic_scale:
-        db = SyntheticSwissProt().generate(scale=args.synthetic_scale)
-    else:
-        print("error: provide --db-fasta or --synthetic-scale", file=sys.stderr)
-        return 2
-
-    if args.query_fasta:
-        requests = [
-            SearchRequest(query=rec.sequence, name=rec.accession)
-            for rec in read_fasta(args.query_fasta)
-        ]
-    else:
-        specs = PAPER_QUERIES[: max(args.queries, 1)]
-        queries = make_query_set(specs)
-        requests = [
-            SearchRequest(query=queries[s.accession], name=s.accession)
-            for s in specs
-        ]
-    if not requests:
-        print("error: no queries to serve", file=sys.stderr)
-        return 2
-
-    registry = None
-    service_kwargs = {}
-    if args.metrics:
-        from .metrics import MetricsRegistry
-
-        # An isolated registry: every layer the service drives (cache,
-        # pipelines, schedulers) reports here, never into the global
-        # METRICS — what gets printed is exactly this batch.
-        registry = MetricsRegistry()
-        service_kwargs["metrics"] = registry
-
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-    if args.workers > 1 and args.scheduler == "static":
-        print(
-            "error: --workers needs the local or queue scheduler "
-            "(the static split is purely modelled)",
-            file=sys.stderr,
-        )
-        return 2
+    db = _load_database(args)
+    requests = _load_requests(args)
+    registry = _metrics_registry(args)
     service = SearchService(
-        SearchOptions(
-            matrix=get_matrix(args.matrix),
-            gaps=GapModel(args.gap_open, args.gap_extend),
-            lanes=args.lanes,
-            kernel=args.kernel,
-            mode=args.mode,
-            top_k=args.top,
-        ),
+        options_from_args(args),
         scheduler=args.scheduler,
         workers=args.workers if args.workers > 1 else None,
         chunks=args.chunks,
         static_fraction=args.static_fraction,
-        **service_kwargs,
+        **({} if registry is None else {"metrics": registry}),
     )
     try:
         batch = service.run(requests, db)
@@ -640,73 +601,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"({static / dyn:.2f}x)" if dyn > 0 else
             "modelled makespan: degenerate (zero-cost workload)"
         )
-    if registry is not None:
-        print("\nmetrics:")
-        print(registry.render())
+    _print_metrics(registry)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .db import read_fasta
     from .faults import Deadline
-    from .scoring import GapModel, get_matrix
-    from .search import PartialResult, SearchOptions, StreamingSearch
+    from .search import PartialResult, StreamingSearch
 
-    if args.query:
-        query = args.query
-        qname = "cmdline-query"
-    elif args.query_fasta:
-        rec = next(iter(read_fasta(args.query_fasta)))
-        query, qname = rec.sequence, rec.accession
-    else:
-        print("error: provide --query or --query-fasta", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-    if args.resume and not args.journal:
-        print("error: --resume needs --journal", file=sys.stderr)
-        return 2
-    if (args.journal or args.resume) and args.workers == 1:
-        print("error: --journal/--resume need --workers > 1 "
-              "(only the sharded scan journals its merge state)",
-              file=sys.stderr)
-        return 2
-    if args.deadline is not None and args.deadline <= 0:
-        print("error: --deadline must be positive", file=sys.stderr)
-        return 2
-
-    injector = None
-    if args.fault_plan:
-        if args.mode != "exact":
-            print("error: --fault-plan needs --mode exact (faults target "
-                  "the lane groups the tiered path never forms)",
-                  file=sys.stderr)
-            return 2
-        from .faults import FaultInjector, FaultPlan
-
-        injector = FaultInjector(FaultPlan.parse(args.fault_plan))
-
-    registry = None
-    if args.metrics:
-        from .metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-
-    deadline = (
-        Deadline.after(args.deadline) if args.deadline is not None else None
-    )
+    request = _load_requests(args, first_only=True)[0]
+    injector = _fault_injector(args)
+    registry = _metrics_registry(args)
     search = StreamingSearch(
-        SearchOptions(
-            matrix=get_matrix(args.matrix),
-            gaps=GapModel(args.gap_open, args.gap_extend),
-            lanes=args.lanes,
-            kernel=args.kernel,
-            mode=args.mode,
-            chunk_size=args.chunk_size,
-            top_k=args.top,
-            injector=injector,
-            deadline=deadline,
+        options_from_args(
+            args, chunk_size=args.chunk_size, injector=injector,
+            deadline=(Deadline.after(args.deadline)
+                      if args.deadline is not None else None),
         ),
         metrics=registry,
         workers=args.workers,
@@ -717,7 +627,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         chunk_timeout=args.chunk_timeout,
     )
     try:
-        result = search.search_fasta(query, args.db_fasta, query_name=qname)
+        result = search.search_fasta(
+            request.query, args.db_fasta, query_name=request.name
+        )
     finally:
         search.close()
     print(result.summary())
@@ -727,9 +639,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             "transmissions detected by checksum and recomputed; "
             "scores are exact"
         )
-    if registry is not None:
-        print("\nmetrics:")
-        print(registry.render())
+    _print_metrics(registry)
     if isinstance(result, PartialResult):
         frac = result.completion()
         pct = f" ({frac:.0%} of the scan)" if frac is not None else ""
@@ -747,53 +657,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .db import (
-        PAPER_QUERIES,
-        SequenceDatabase,
-        SyntheticSwissProt,
-        make_query_set,
-        read_fasta,
-    )
     from .metrics import MetricsRegistry
     from .obs import Tracer, write_chrome_trace, write_jsonl
-    from .scoring import GapModel, get_matrix
-    from .search import SearchOptions, SearchRequest
     from .service import SearchService
 
-    if args.db_fasta:
-        db = SequenceDatabase.from_fasta(args.db_fasta)
-    elif args.synthetic_scale:
-        db = SyntheticSwissProt().generate(scale=args.synthetic_scale)
-    else:
-        print("error: provide --db-fasta or --synthetic-scale", file=sys.stderr)
-        return 2
-
-    if args.query:
-        requests = [SearchRequest(query=args.query, name="cmdline-query")]
-    elif args.query_fasta:
-        requests = [
-            SearchRequest(query=rec.sequence, name=rec.accession)
-            for rec in read_fasta(args.query_fasta)
-        ]
-    else:
-        specs = PAPER_QUERIES[: max(args.queries, 1)]
-        queries = make_query_set(specs)
-        requests = [
-            SearchRequest(query=queries[s.accession], name=s.accession)
-            for s in specs
-        ]
-    if not requests:
-        print("error: no queries to serve", file=sys.stderr)
-        return 2
-
+    db = _load_database(args)
+    requests = _load_requests(args)
     tracer = Tracer()
     registry = MetricsRegistry()
     service = SearchService(
-        SearchOptions(
-            matrix=get_matrix(args.matrix),
-            gaps=GapModel(args.gap_open, args.gap_extend),
-            top_k=args.top,
-        ),
+        options_from_args(args),
         scheduler=args.scheduler,
         chunks=args.chunks,
         static_fraction=args.static_fraction,
@@ -826,9 +699,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.tree:
         print("\nspan tree:")
         print(tracer.collector.render_tree())
-    if args.metrics:
-        print("\nmetrics:")
-        print(registry.render())
+    _print_metrics(registry if args.metrics else None)
     return 0
 
 
@@ -856,16 +727,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_blast(args: argparse.Namespace) -> int:
-    from .db import SequenceDatabase, SyntheticSwissProt
     from .heuristic import MiniBlast
 
-    if args.db_fasta:
-        db = SequenceDatabase.from_fasta(args.db_fasta)
-    elif args.synthetic_scale:
-        db = SyntheticSwissProt().generate(scale=args.synthetic_scale)
-    else:
-        print("error: provide --db-fasta or --synthetic-scale", file=sys.stderr)
-        return 2
+    db = _load_database(args)
     result = MiniBlast(k=args.word_size, threshold=args.threshold).search(
         args.query, db
     )
@@ -922,12 +786,11 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
     )
     # Validate fault options up front — the sweep below takes a while
     # and a bad flag should fail before it, not after.
-    plan = injector = retry = timeout = None
-    if args.fault_plan:
-        from .faults import FaultInjector, FaultPlan, RetryPolicy, Timeout
+    injector = _fault_injector(args)
+    retry = timeout = None
+    if injector is not None:
+        from .faults import RetryPolicy, Timeout
 
-        plan = FaultPlan.parse(args.fault_plan)
-        injector = FaultInjector(plan)
         retry = RetryPolicy(max_retries=args.retries)
         timeout = (
             Timeout(args.device_timeout)
@@ -1031,27 +894,13 @@ def _cmd_info(_: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "search": _cmd_search,
-        "serve": _cmd_serve,
-        "batch": _cmd_batch,
-        "stream": _cmd_stream,
-        "trace": _cmd_trace,
-        "align": _cmd_align,
-        "blast": _cmd_blast,
-        "model": _cmd_model,
-        "hybrid": _cmd_hybrid,
-        "bench": _cmd_bench,
-        "validate": _cmd_validate,
-        "report": _cmd_report,
-        "info": _cmd_info,
-    }
     try:
-        return handlers[args.command](args)
-    except ReproError as exc:
+        _check_usage(args)
+        return globals()[f"_cmd_{args.command}"](args)
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return 2
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,7 @@ from ..search.api import SearchOptions, SearchOutcome, SearchRequest
 from ..search.hybrid_pipeline import HybridSearchPipeline
 from ..search.pipeline import SearchPipeline
 from ..search.result import Hit
+from ..search.sharded import DEFAULT_SHARD_RESIDUES
 from .cache import PreprocessCache
 from .scheduler import WorkQueueScheduler
 
@@ -201,7 +202,7 @@ class SearchService:
         cache_capacity: int = 8,
         chunks: int = 24,
         static_fraction: float = 0.55,
-        shard_residues: int = 1_000_000,
+        shard_residues: int = DEFAULT_SHARD_RESIDUES,
         max_queue_depth: int | None = None,
         link: PCIeLink = PCIE_GEN2_X16,
         metrics: MetricsRegistry = METRICS,

@@ -151,3 +151,26 @@ class TestStreamResilienceFlags:
         ]
         assert ranks(chaos.out) == ranks(clean.out)
         assert ranks(clean.out)  # the scan actually ranked hits
+
+
+class TestUsageErrors:
+    """Bad flag combinations exit 2 before any work (or connection)."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["batch", "--synthetic-scale", "0.0001", "--workers", "2",
+          "--scheduler", "static"], "--workers"),
+        (["serve"], "--db-fasta"),
+        (["trace"], "--db-fasta"),
+        (["search", "--query", QUERY, "--synthetic-scale", "0.0001",
+          "--fault-plan", "seed=1,corrupt=0.1", "--mode", "fast"],
+         "--mode exact"),
+        (["search", "--query", QUERY, "--synthetic-scale", "0.0001",
+          "--workers", "0"], "--workers must be positive"),
+        (["search", "--query", QUERY, "--server", "http://127.0.0.1:9",
+          "--tsv"], "--server"),
+    ], ids=["batch-static-workers", "serve-no-db", "trace-no-db",
+            "search-faults-tiered", "search-zero-workers", "search-server-tsv"])
+    def test_exits_2(self, capsys, argv, needle):
+        captured = assert_clean_failure(capsys, main(argv), expect_code=2)
+        assert needle in captured.err
+        assert captured.out == ""
